@@ -82,7 +82,10 @@ void MrisScheduler::build_candidates(EngineContext& ctx, double gamma_k) {
 
 void MrisScheduler::on_idle(EngineContext& ctx) {
   // Streaming-only hook: speculatively solve the armed wakeup's knapsack
-  // while the daemon waits for the next admission frame.  Touches only the
+  // while the daemon waits for the next admission frame (it fires at a
+  // frame boundary, just before the read loop blocks on an empty
+  // transport).  A repeat call with no admission in between finds the
+  // memo matching and solves nothing.  Touches only the
   // per-wakeup scratch vectors (cleared at every wakeup) and the inc_ memo
   // (a pure cache), so observable decisions are unchanged — if an arrival
   // lands before gamma_k fires, the memo simply misses and the wakeup

@@ -215,17 +215,25 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   FrameDecoder decoder(static_cast<std::uint32_t>(options.num_resources));
   Frame frame;
   char buf[4096];
-  bool eof = false;
-  while (!eof && !decoder.saw_end()) {
-    in.read(buf, sizeof buf);
-    const std::streamsize got = in.gcount();
-    if (got > 0) {
-      decoder.feed(std::string_view(buf, static_cast<std::size_t>(got)));
+  while (!decoder.saw_end()) {
+    // Frame-exact reads: take whatever the transport already holds (a
+    // whole 4096-byte chunk from an in-memory stream, what has arrived on
+    // a buffered pipe); only when nothing is there, block for exactly the
+    // bytes the pending frame still misses — never for a later frame's.
+    std::streamsize got = in.readsome(buf, sizeof buf);
+    if (got == 0 && in.good()) {
+      // About to block.  At a frame boundary that is genuine idle time,
+      // free for the scheduler (MRIS pre-solves the armed interval's
+      // knapsack here); while frames are backed up the transport reports
+      // bytes and this is skipped.
+      if (decoder.buffered() == 0) engine.idle();
+      in.read(buf, static_cast<std::streamsize>(
+                       std::min(decoder.bytes_needed(), sizeof buf)));
+      got = in.gcount();
     }
-    if (got <= 0 || in.eof()) eof = true;
-    bool decoded_any = false;
+    if (got <= 0) break;  // EOF: finish() names the truncation
+    decoder.feed(std::string_view(buf, static_cast<std::size_t>(got)));
     while (decoder.next(frame)) {
-      decoded_any = true;
       ++result.frames;
       if (frame.kind != kFrameJob) continue;  // Hello/End carry no admission
       if (frame.job.seq < already) {
@@ -248,11 +256,6 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
               .count());
       if (options.on_admit) options.on_admit(inst.num_jobs());
     }
-    // Genuinely idle (no frame arrived this read): free compute time for
-    // the scheduler (MRIS pre-solves the armed interval's knapsack here).
-    // Never fired while frames are backed up — speculation must not steal
-    // wall-clock from the admission path under overload.
-    if (!decoded_any && !eof) engine.idle();
   }
   decoder.finish();
 

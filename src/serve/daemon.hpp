@@ -75,7 +75,10 @@ struct ServeOptions {
 };
 
 /// Wall-clock decision-latency summary: one sample per live admission,
-/// covering run_until_release + journal append + admit.
+/// covering run_until_release + journal append + admit.  This is service
+/// time from decode to admit; the time a frame spends in the transport
+/// before it is decoded is not in it (end-to-end admit latency is the
+/// producer's send-to-on_admit span, which perfbench measures).
 struct LatencySummary {
   std::uint64_t samples = 0;
   double mean_us = 0.0;

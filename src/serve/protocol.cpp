@@ -84,14 +84,27 @@ void FrameDecoder::fail(const std::string& what) const {
                       ": " + what);
 }
 
-bool FrameDecoder::next(Frame& frame) {
-  const std::size_t avail = buf_.size() - pos_;
-  if (avail < 4) return false;
+std::uint32_t FrameDecoder::pending_size() const noexcept {
   const auto* u = reinterpret_cast<const unsigned char*>(buf_.data() + pos_);
-  const std::uint32_t size = static_cast<std::uint32_t>(u[0]) |
-                             (static_cast<std::uint32_t>(u[1]) << 8) |
-                             (static_cast<std::uint32_t>(u[2]) << 16) |
-                             (static_cast<std::uint32_t>(u[3]) << 24);
+  return static_cast<std::uint32_t>(u[0]) |
+         (static_cast<std::uint32_t>(u[1]) << 8) |
+         (static_cast<std::uint32_t>(u[2]) << 16) |
+         (static_cast<std::uint32_t>(u[3]) << 24);
+}
+
+std::size_t FrameDecoder::bytes_needed() const noexcept {
+  const std::size_t avail = buffered();
+  if (avail < 4) return 4 - avail;
+  const std::uint32_t size = pending_size();
+  if (size < 1 || size > kMaxFrameBytes) return 0;  // next() rejects it
+  const std::size_t whole = 4u + std::size_t{size} + 4u;
+  return avail < whole ? whole - avail : 0;
+}
+
+bool FrameDecoder::next(Frame& frame) {
+  const std::size_t avail = buffered();
+  if (avail < 4) return false;
+  const std::uint32_t size = pending_size();
   if (size < 1) fail("frame size 0 (a frame carries at least its kind byte)");
   if (size > kMaxFrameBytes) {
     fail("frame size " + std::to_string(size) + " exceeds the " +

@@ -111,12 +111,25 @@ class FrameDecoder {
   /// boundary *after* a valid End frame; throws ProtocolError otherwise.
   void finish() const;
 
+  /// Bytes still missing before next() can return the pending frame:
+  /// 4 - avail while the length prefix is incomplete, 8 + size - avail
+  /// once it is here, 0 when a whole frame is already buffered.  A prefix
+  /// whose size is out of range also yields 0 — next() throws on it
+  /// without more input — so the result never exceeds kMaxFrameBytes + 8.
+  /// The daemon blocks for exactly this many bytes, never for bytes that
+  /// belong to a later frame.
+  std::size_t bytes_needed() const noexcept;
+
+  /// Bytes fed but not yet consumed as frames; 0 at a frame boundary.
+  std::size_t buffered() const noexcept { return buf_.size() - pos_; }
+
   bool saw_end() const noexcept { return saw_end_; }
   std::uint64_t frames_decoded() const noexcept { return frames_; }
   std::uint64_t jobs_decoded() const noexcept { return jobs_; }
 
  private:
   [[noreturn]] void fail(const std::string& what) const;
+  std::uint32_t pending_size() const noexcept;  ///< needs buffered() >= 4
   void validate(Frame& frame, std::string_view payload) const;
 
   std::uint32_t num_resources_;

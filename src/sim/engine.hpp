@@ -86,13 +86,15 @@ class OnlineScheduler {
     on_arrival(ctx, job);
   }
 
-  /// The streaming driver (StreamEngine::idle, docs/DAEMON.md) has no frame
-  /// to feed and no event to process: free compute time.  A scheduler may
-  /// use it to warm caches for the *next* decision (MRIS pre-solves the
-  /// armed interval's knapsack, sched/mris.hpp), but MUST NOT change any
-  /// observable decision state — batch runs never call this, and streaming
-  /// runs must stay byte-identical to batch (the streaming-equivalence
-  /// oracle enforces exactly that).
+  /// The streaming driver (StreamEngine::idle, docs/DAEMON.md) is at a
+  /// frame boundary with nothing buffered and is about to block on its
+  /// transport: free compute time.  On a transport that cannot report
+  /// buffered bytes (an unbuffered streambuf) it fires before every frame.
+  /// A scheduler may use it to warm caches for the *next* decision (MRIS
+  /// pre-solves the armed interval's knapsack, sched/mris.hpp), but MUST
+  /// NOT change any observable decision state — batch runs never call
+  /// this, and streaming runs must stay byte-identical to batch (the
+  /// streaming-equivalence oracle enforces exactly that).
   virtual void on_idle(EngineContext& /*ctx*/) {}
 
   // Durability hooks (docs/RECOVERY.md).  Whole-engine snapshots embed the
@@ -318,8 +320,9 @@ class StreamEngine {
   /// checks included).  The engine is spent afterwards.
   RunResult finish();
 
-  /// Forwards to OnlineScheduler::on_idle — the daemon calls this when its
-  /// frame source has nothing to deliver yet.
+  /// Forwards to OnlineScheduler::on_idle — the daemon calls this at a
+  /// frame boundary, just before it blocks on a transport with nothing
+  /// buffered.
   void idle();
 
   Time now() const;

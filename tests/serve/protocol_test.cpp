@@ -230,16 +230,72 @@ TEST(ProtocolTest, RejectsTruncatedStreamAtEof) {
   EXPECT_THROW(decoder.finish(), ProtocolError);
 }
 
+std::string size_prefix(std::uint32_t size) {
+  std::string out;
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<char>((size >> (8 * i)) & 0xFF));
+  }
+  return out;
+}
+
 TEST(ProtocolTest, RejectsOversizedAndZeroSizeFrames) {
-  const auto size_frame = [](std::uint32_t size) {
-    std::string out;
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<char>((size >> (8 * i)) & 0xFF));
-    }
-    return out;
-  };
-  expect_rejected(size_frame(0) + std::string(8, '\0'), "size 0");
-  expect_rejected(size_frame(kMaxFrameBytes + 1), "exceeds");
+  expect_rejected(size_prefix(0) + std::string(8, '\0'), "size 0");
+  expect_rejected(size_prefix(kMaxFrameBytes + 1), "exceeds");
+}
+
+TEST(ProtocolTest, BytesNeededCountsDownToTheNextFrame) {
+  std::string hello;
+  encode_hello(hello, 2);
+  std::string job;
+  encode_job(job, 0, valid_job());
+  FrameDecoder decoder(2);
+  Frame frame;
+  EXPECT_EQ(decoder.bytes_needed(), 4u);  // empty buffer: the size word
+  EXPECT_EQ(decoder.buffered(), 0u);
+
+  decoder.feed(std::string_view(hello).substr(0, 3));  // partial prefix
+  EXPECT_EQ(decoder.bytes_needed(), 1u);
+  EXPECT_FALSE(decoder.next(frame));
+
+  decoder.feed(std::string_view(hello).substr(3, 4));  // prefix + 3 body
+  EXPECT_EQ(decoder.bytes_needed(), hello.size() - 7);  // mid-body
+  EXPECT_FALSE(decoder.next(frame));
+
+  decoder.feed(std::string_view(hello).substr(7));
+  EXPECT_EQ(decoder.bytes_needed(), 0u);  // whole frame buffered
+  ASSERT_TRUE(decoder.next(frame));
+  EXPECT_EQ(frame.kind, kFrameHello);
+  EXPECT_EQ(decoder.bytes_needed(), 4u);  // right after a decoded frame
+  EXPECT_EQ(decoder.buffered(), 0u);
+
+  decoder.feed(std::string_view(job).substr(0, 4));  // prefix only
+  EXPECT_EQ(decoder.bytes_needed(), job.size() - 4);  // body + CRC
+  decoder.feed(std::string_view(job).substr(4, job.size() - 5));
+  EXPECT_EQ(decoder.bytes_needed(), 1u);  // one CRC byte short
+  EXPECT_FALSE(decoder.next(frame));
+  decoder.feed(std::string_view(job).substr(job.size() - 1));
+  ASSERT_TRUE(decoder.next(frame));
+  EXPECT_EQ(frame.kind, kFrameJob);
+  EXPECT_EQ(decoder.buffered(), 0u);
+}
+
+TEST(ProtocolTest, BadSizePrefixThrowsBeforeAnyBodyIsAwaited) {
+  // A reader that blocks for bytes_needed() must never wait on a body the
+  // prefix already rules out: next() rejects it as soon as the size word
+  // is complete, and bytes_needed() never exceeds one maximal frame.
+  for (const std::uint32_t bad : {0u, kMaxFrameBytes + 1, 0xFFFFFFFFu}) {
+    FrameDecoder decoder(2);
+    decoder.feed(hello_only());
+    Frame frame;
+    ASSERT_TRUE(decoder.next(frame));
+    decoder.feed(size_prefix(bad));
+    EXPECT_EQ(decoder.bytes_needed(), 0u) << bad;
+    EXPECT_THROW(decoder.next(frame), ProtocolError) << bad;
+  }
+  FrameDecoder decoder(2);
+  decoder.feed(size_prefix(kMaxFrameBytes));
+  EXPECT_EQ(decoder.bytes_needed(), std::size_t{kMaxFrameBytes} + 4u);
+  EXPECT_LE(decoder.bytes_needed(), std::size_t{kMaxFrameBytes} + 8u);
 }
 
 }  // namespace
