@@ -5,8 +5,8 @@
 #
 # Serves one packed stream twice: from a file (--in) and from a pipe on
 # stdin (cat stream.bin | mris_serve run).  The file is read in whole
-# chunks, stdin through std::cin with exact per-frame reads; the CSV sink
-# and the placement checksum must be byte-identical.
+# chunks, stdin in whatever pieces the pipe holds; the CSV sink and the
+# placement checksum must be byte-identical.
 set -eu
 
 BIN="$1"

@@ -88,13 +88,12 @@ class OnlineScheduler {
 
   /// The streaming driver (StreamEngine::idle, docs/DAEMON.md) is at a
   /// frame boundary with nothing buffered and is about to block on its
-  /// transport: free compute time.  On a transport that cannot report
-  /// buffered bytes (an unbuffered streambuf) it fires before every frame.
-  /// A scheduler may use it to warm caches for the *next* decision (MRIS
-  /// pre-solves the armed interval's knapsack, sched/mris.hpp), but MUST
-  /// NOT change any observable decision state — batch runs never call
-  /// this, and streaming runs must stay byte-identical to batch (the
-  /// streaming-equivalence oracle enforces exactly that).
+  /// transport: free compute time.  A scheduler may use it to warm caches
+  /// for the *next* decision (MRIS pre-solves the armed interval's
+  /// knapsack, sched/mris.hpp), but MUST NOT change any observable
+  /// decision state — batch runs never call this, and streaming runs must
+  /// stay byte-identical to batch (the streaming-equivalence oracle
+  /// enforces exactly that).
   virtual void on_idle(EngineContext& /*ctx*/) {}
 
   // Durability hooks (docs/RECOVERY.md).  Whole-engine snapshots embed the

@@ -9,6 +9,7 @@
 #include "serve/daemon.hpp"
 
 #include <ext/stdio_filebuf.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -20,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <streambuf>
 #include <string>
 #include <thread>
@@ -157,16 +159,17 @@ class ChunkedStreambuf : public std::streambuf {
   util::Xoshiro256 rng_;
 };
 
-enum class Transport { kInMemory, kOneByte, kChunked };
+enum class Transport { kInMemory, kOneByte, kChunked, kPipe };
 
-constexpr Transport kTransports[] = {Transport::kInMemory,
-                                     Transport::kOneByte, Transport::kChunked};
+constexpr Transport kTransports[] = {Transport::kInMemory, Transport::kOneByte,
+                                     Transport::kChunked, Transport::kPipe};
 
 const char* transport_name(Transport t) {
   switch (t) {
     case Transport::kInMemory: return "in-memory";
     case Transport::kOneByte: return "one-byte";
     case Transport::kChunked: return "chunked";
+    case Transport::kPipe: return "pipe";
   }
   return "?";
 }
@@ -181,6 +184,22 @@ std::unique_ptr<std::streambuf> make_transport(Transport t, std::string bytes,
       return std::make_unique<OneByteStreambuf>(std::move(bytes));
     case Transport::kChunked:
       return std::make_unique<ChunkedStreambuf>(std::move(bytes), seed);
+    case Transport::kPipe: {
+      // A real pipe already holding the whole stream, read through
+      // stdio_filebuf the way mris_serve reads stdin.  The write end is
+      // non-blocking so a stream past the pipe's capacity fails loudly.
+      int fds[2];
+      if (::pipe(fds) != 0) throw std::runtime_error("pipe() failed");
+      ::fcntl(fds[1], F_SETFL, O_NONBLOCK);
+      const ssize_t w = ::write(fds[1], bytes.data(), bytes.size());
+      ::close(fds[1]);
+      if (w != static_cast<ssize_t>(bytes.size())) {
+        ::close(fds[0]);
+        throw std::runtime_error("stream does not fit in a pipe");
+      }
+      return std::make_unique<__gnu_cxx::stdio_filebuf<char>>(fds[0],
+                                                              std::ios::in);
+    }
   }
   return nullptr;
 }
@@ -307,20 +326,25 @@ PipeRun serve_lock_step(const std::vector<std::string>& frames,
   return run;
 }
 
-void expect_daemon_matches_batch(const Instance& raw,
-                                 const std::string& scheduler,
-                                 SinkKind sink_kind,
-                                 const std::string& where) {
+void expect_daemon_matches_batch(
+    const Instance& raw, const std::string& scheduler, SinkKind sink_kind,
+    const std::string& where, Transport transport = Transport::kInMemory,
+    std::uint64_t seed = 0) {
   const Instance inst = canonical(raw);
   const BatchReference batch = run_batch(inst, scheduler, sink_kind);
 
-  std::istringstream in(encode_stream(
-      inst.jobs(), static_cast<std::uint32_t>(inst.num_resources())));
+  const std::unique_ptr<std::streambuf> buf = make_transport(
+      transport,
+      encode_stream(inst.jobs(),
+                    static_cast<std::uint32_t>(inst.num_resources())),
+      seed);
+  std::istream in(buf.get());
   std::ostringstream sink_out;
   const std::unique_ptr<MetricsSink> sink = make_sink(sink_kind, sink_out);
   const ServeResult served =
       serve_stream(in, serve_options(inst, scheduler, sink.get()));
 
+  EXPECT_EQ(served.frames, inst.num_jobs() + 2) << where;
   EXPECT_EQ(served.jobs, inst.num_jobs()) << where;
   EXPECT_EQ(served.placement_checksum, batch.checksum) << where;
   EXPECT_EQ(sink_out.str(), batch.sink_output) << where;
@@ -370,10 +394,14 @@ TEST(DaemonTest, IncrementalCadpChangesNoByte) {
       config.num_jobs = 28;
       const Instance inst = canonical(
           make_family_instance(family, config, seed));
-      expect_daemon_matches_batch(
-          inst, "mris-inc", SinkKind::kCsv,
-          std::string("inc/") + testkit::family_name(family) + " seed " +
-              std::to_string(seed));
+      for (Transport transport : kTransports) {
+        expect_daemon_matches_batch(
+            inst, "mris-inc", SinkKind::kCsv,
+            std::string("inc/") + transport_name(transport) + " " +
+                testkit::family_name(family) + " seed " +
+                std::to_string(seed),
+            transport, seed);
+      }
 
       std::istringstream in_plain(encode_stream(
           inst.jobs(), static_cast<std::uint32_t>(inst.num_resources())));
@@ -385,21 +413,15 @@ TEST(DaemonTest, IncrementalCadpChangesNoByte) {
       EXPECT_EQ(plain.placement_checksum, inc.placement_checksum)
           << testkit::family_name(family) << " seed " << seed;
 
-      // Transports that run dry at every frame boundary fire on_idle before
-      // each frame, so mris-inc pre-solves its knapsack there: still no byte
-      // may change.
+      // A lock-step pipe runs dry at every frame boundary and fires on_idle
+      // before each frame, so mris-inc pre-solves its knapsack there: still
+      // no byte may change.
       const PipeRun lock_step = serve_lock_step(
           encode_frames(inst), serve_options(inst, "mris-inc", nullptr),
           Gate::kAdmit);
       EXPECT_EQ(lock_step.error, "");
       EXPECT_EQ(lock_step.result.placement_checksum, plain.placement_checksum)
           << "lock-step " << testkit::family_name(family) << " seed " << seed;
-      OneByteStreambuf one_byte(in_plain.str());
-      std::istream in_one(&one_byte);
-      const ServeResult unbuffered =
-          serve_stream(in_one, serve_options(inst, "mris-inc", nullptr));
-      EXPECT_EQ(unbuffered.placement_checksum, plain.placement_checksum)
-          << "one-byte " << testkit::family_name(family) << " seed " << seed;
     }
   }
 }
@@ -466,10 +488,12 @@ TEST(DaemonTransportTest, IdleFiresOnlyWhenTheTransportRunsDry) {
       canonical(make_family_instance(Family::kMixed, config, 3));
   const std::string bytes = encode_stream(
       inst.jobs(), static_cast<std::uint32_t>(inst.num_resources()));
-  // An in-memory stream always has the next chunk buffered: never idle.
+  // An in-memory stream always has the next chunk buffered, and so does a
+  // pipe holding a backlog (stdio_filebuf counts its bytes): never idle.
   // An unbuffered transport reports nothing, so every boundary is a wait.
   for (const auto& [transport, want] :
        {std::pair{Transport::kInMemory, std::uint64_t{0}},
+        std::pair{Transport::kPipe, std::uint64_t{0}},
         std::pair{Transport::kOneByte, inst.num_jobs() + 2}}) {
     std::uint64_t idles = 0;
     ServeOptions opts = serve_options(inst, "mris-inc", nullptr);
@@ -492,40 +516,34 @@ TEST(DaemonTransportTest, EveryTransportShapeMatchesBatch) {
     for (std::uint64_t seed = 0; seed < iters; ++seed) {
       GenConfig config;
       config.num_jobs = 30;
-      const Instance inst =
-          canonical(make_family_instance(family, config, seed));
-      const BatchReference batch = run_batch(inst, "mris", SinkKind::kCsv);
-      const std::string bytes = encode_stream(
-          inst.jobs(), static_cast<std::uint32_t>(inst.num_resources()));
-      std::size_t largest_frame = 0;
-      for (const std::string& f : encode_frames(inst)) {
-        largest_frame = std::max(largest_frame, f.size());
-      }
+      const Instance inst = make_family_instance(family, config, seed);
       for (Transport transport : kTransports) {
-        const std::string where = std::string(transport_name(transport)) +
-                                  " " + testkit::family_name(family) +
-                                  " seed " + std::to_string(seed);
-        std::ostringstream sink_out;
-        const std::unique_ptr<MetricsSink> sink =
-            make_sink(SinkKind::kCsv, sink_out);
-        const std::unique_ptr<std::streambuf> buf =
-            make_transport(transport, bytes, seed);
-        std::istream in(buf.get());
-        const ServeResult r =
-            serve_stream(in, serve_options(inst, "mris", sink.get()));
-        EXPECT_EQ(r.frames, inst.num_jobs() + 2) << where;
-        EXPECT_EQ(r.jobs, inst.num_jobs()) << where;
-        EXPECT_EQ(r.placement_checksum, batch.checksum) << where;
-        EXPECT_EQ(sink_out.str(), batch.sink_output) << where;
-        if (transport == Transport::kOneByte) {
-          // Exact reads: never a request past the pending frame.
-          EXPECT_LE(static_cast<OneByteStreambuf&>(*buf).max_request,
-                    static_cast<std::streamsize>(largest_frame))
-              << where;
-        }
+        expect_daemon_matches_batch(
+            inst, "mris", SinkKind::kCsv,
+            std::string(transport_name(transport)) + " " +
+                testkit::family_name(family) + " seed " +
+                std::to_string(seed),
+            transport, seed);
       }
     }
   }
+
+  // Exact reads: an unbuffered transport is never asked for bytes past
+  // the pending frame.
+  GenConfig config;
+  config.num_jobs = 30;
+  const Instance inst =
+      canonical(make_family_instance(Family::kMixed, config, 0));
+  std::size_t largest_frame = 0;
+  for (const std::string& f : encode_frames(inst)) {
+    largest_frame = std::max(largest_frame, f.size());
+  }
+  OneByteStreambuf buf(encode_stream(
+      inst.jobs(), static_cast<std::uint32_t>(inst.num_resources())));
+  std::istream in(&buf);
+  EXPECT_EQ(serve_stream(in, serve_options(inst, "mris", nullptr)).jobs,
+            inst.num_jobs());
+  EXPECT_LE(buf.max_request, static_cast<std::streamsize>(largest_frame));
 }
 
 TEST(DaemonTransportTest, TruncationAtEveryOffsetAdmitsNothingPastTheCut) {

@@ -18,6 +18,8 @@
 // _Exit(137)s immediately after admitting its N-th live job — no unwinding,
 // no buffer flushes — so scripts/daemon_crash_test.sh can cut it down
 // mid-stream without racing a timer.
+#include <ext/stdio_filebuf.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -168,7 +170,15 @@ int cmd_run(const util::Flags& flags) {
       return 1;
     }
   }
-  std::istream& in = in_path.empty() ? std::cin : in_file;
+  // stdin is read through a stdio_filebuf on fd 0, not std::cin: its
+  // in_avail() counts the bytes waiting in the pipe (FIONREAD), whereas
+  // std::cin's default stdio_sync_filebuf always reports 0.  The serve loop
+  // fires the scheduler's idle hook only when its transport reports nothing
+  // buffered, so through std::cin mris-inc would re-solve its knapsack
+  // before every frame of a backlog.
+  __gnu_cxx::stdio_filebuf<char> stdin_buf(0, std::ios::in);
+  std::istream stdin_stream(&stdin_buf);
+  std::istream& in = in_path.empty() ? stdin_stream : in_file;
 
   const serve::ServeResult r = serve::serve_stream(in, opts);
   std::fprintf(stderr,
